@@ -251,6 +251,38 @@ func BenchmarkOnlineAnswerComplex(b *testing.B) {
 	}
 }
 
+// BenchmarkAnswerVariant measures the ranking, comparison and listing
+// variants of Sec 1. The first question per (category, predicate) fills
+// the engine's memoized ranked column; the steady state measured here
+// reads it.
+func BenchmarkAnswerVariant(b *testing.B) {
+	s := benchSuite(b)
+	w := s.World(kbgen.Freebase)
+	var names []string
+	for _, c := range w.KB.ByCategory["city"] {
+		if label := w.KB.Store.Label(c); len(w.KB.Store.EntitiesByLabel(label)) == 1 {
+			names = append(names, text.TitleCase(label))
+		}
+	}
+	if len(names) < 2 {
+		b.Fatal("too few uniquely named cities")
+	}
+	for _, bc := range []struct{ name, q string }{
+		{"ranking", "Which city has the 3rd largest population?"},
+		{"comparison", "Which city has more people , " + names[0] + " or " + names[1] + "?"},
+		{"listing", "List cities ordered by population?"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := w.Engine.AnswerVariant(bc.q); !ok {
+					b.Fatalf("%q not answered", bc.q)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEM measures full EM training over the prebuilt observations.
 func BenchmarkEM(b *testing.B) {
 	s := benchSuite(b)

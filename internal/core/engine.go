@@ -116,10 +116,11 @@ type Engine struct {
 	// expanded during complex-question execution (default 8).
 	MaxChainValues int
 
-	// sortedTemplates caches the model's template keys in sorted order;
-	// computed once at construction (the model is immutable while
-	// serving) so the variant path doesn't re-sort per question.
-	sortedTemplates []string
+	// variants is the variant engine's template index and its lazy
+	// knowledge-base memos, built once at construction (the model is
+	// immutable while serving) so ranking, comparison and listing
+	// questions do not re-derive it per question.
+	variants *variantIndex
 }
 
 // NewEngine builds an engine. A non-nil stats enables complex-question
@@ -128,7 +129,7 @@ type Engine struct {
 // interpretation, which keeps the DP's δ evaluations cheap.
 func NewEngine(kb rdf.Graph, tax *concept.Taxonomy, model *learn.Model, stats *decompose.Stats) *Engine {
 	e := &Engine{KB: kb, Taxonomy: tax, Model: model}
-	e.sortedTemplates = sortedTemplateKeys(model)
+	e.variants = newVariantIndex(model)
 	if stats != nil {
 		//kbqa:nolint ctxpropagate — construction-time warmup, not a request path
 		e.Decomposer = e.decomposerFor(context.Background(), nil)
@@ -168,28 +169,6 @@ func (e *Engine) decomposerFor(ctx context.Context, mentions []extract.Mention) 
 // maxDecomposeTokens bounds the decomposition DP input; the paper notes
 // over 99% of corpus questions have |q| < 23 (Sec 5.3).
 const maxDecomposeTokens = 23
-
-// sortedTemplateKeys returns the model's template keys in sorted order.
-func sortedTemplateKeys(model *learn.Model) []string {
-	if model == nil {
-		return nil
-	}
-	out := make([]string, 0, len(model.Theta))
-	for tpl := range model.Theta {
-		out = append(out, tpl)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// templateKeys returns the cached sorted template keys, recomputing only
-// for engines built as raw struct literals.
-func (e *Engine) templateKeys() []string {
-	if e.sortedTemplates != nil {
-		return e.sortedTemplates
-	}
-	return sortedTemplateKeys(e.Model)
-}
 
 // Timings splits an answer call across the online pipeline's stages for the
 // serving layer's latency histograms. Attribution is coarse by design so the

@@ -69,7 +69,7 @@ var ordinals = map[string]int{
 // predicate.
 var superlativeMax = map[string]bool{
 	"largest": true, "biggest": true, "highest": true, "longest": true,
-	"tallest": true, "most": true, "greatest": true, "oldest": false,
+	"tallest": true, "most": true, "greatest": true,
 }
 var superlativeMin = map[string]bool{
 	"smallest": true, "lowest": true, "shortest": true, "least": true,
@@ -129,7 +129,8 @@ func (e *Engine) tryComparison(toks []string) (VariantAnswer, bool) {
 	}
 	// Resolve the predicate from the non-entity words.
 	head := toks[:left.Span.Start]
-	path, more := e.resolveComparativePredicate(head)
+	category := e.categoryOf(head)
+	path, more := e.resolveComparativePredicate(head, category)
 	if path == "" {
 		return VariantAnswer{}, false
 	}
@@ -147,6 +148,7 @@ func (e *Engine) tryComparison(toks []string) (VariantAnswer, bool) {
 		Entities: []string{winner.Surface},
 		Values:   []string{formatNumber(val)},
 		Path:     path,
+		Category: category,
 	}, true
 }
 
@@ -230,8 +232,9 @@ func (e *Engine) tryListing(toks []string) (VariantAnswer, bool) {
 // resolveComparativePredicate grounds a comparative phrase ("has more
 // people", "is taller") in a predicate by scoring the phrase's content
 // words against the learned templates and taking the best template's
-// argmax predicate. Returns the path and whether "more is better".
-func (e *Engine) resolveComparativePredicate(head []string) (string, bool) {
+// argmax predicate, preferring templates about category when it is
+// non-empty. Returns the path and whether "more is better".
+func (e *Engine) resolveComparativePredicate(head []string, category string) (string, bool) {
 	// Comparative → canonical content word that appears in templates.
 	canon := map[string]string{
 		"more": "many", "taller": "tall", "larger": "large", "bigger": "big",
@@ -244,29 +247,32 @@ func (e *Engine) resolveComparativePredicate(head []string) (string, bool) {
 		}
 		words = append(words, t)
 	}
-	path, _ := e.bestTemplateFor(words)
+	path, _ := e.bestTemplateFor(words, category)
 	return path, true
 }
 
 // resolveCategoryPredicate finds the subject category word and the
 // predicate of a ranking/listing question.
 func (e *Engine) resolveCategoryPredicate(toks []string) (category, path string) {
-	for _, t := range toks {
-		for _, cand := range singularForms(t) {
-			if e.Taxonomy.HasConcept(cand) {
-				category = cand
-				break
-			}
-		}
-		if category != "" {
-			break
-		}
-	}
+	category = e.categoryOf(toks)
 	if category == "" {
 		return "", ""
 	}
-	path, _ = e.bestTemplateFor(toks)
+	path, _ = e.bestTemplateFor(toks, category)
 	return category, path
+}
+
+// categoryOf returns the first token, singularized, that names a taxonomy
+// concept, or "".
+func (e *Engine) categoryOf(toks []string) string {
+	for _, t := range toks {
+		for _, cand := range singularForms(t) {
+			if e.Taxonomy.HasConcept(cand) {
+				return cand
+			}
+		}
+	}
+	return ""
 }
 
 // singularForms proposes singular candidates for a possibly-plural token:
@@ -282,68 +288,10 @@ func singularForms(t string) []string {
 	return out
 }
 
-// bestTemplateFor scores the learned templates against the question's
-// content words by token overlap and returns the argmax predicate of the
-// best-matching template. This is how variants reuse the knowledge the EM
-// phase learned instead of a hand-written keyword table.
-func (e *Engine) bestTemplateFor(words []string) (string, float64) {
-	content := make(map[string]bool)
-	for _, w := range words {
-		if !text.IsStopword(w) && !strings.HasPrefix(w, "$") {
-			content[w] = true
-		}
-	}
-	// Iterate templates in sorted order and break score ties on the
-	// model's own confidence P(p|t): map-order iteration with a strict >
-	// made the winning predicate nondeterministic whenever two templates
-	// overlapped equally (e.g. a noise-trained template shadowing "how
-	// tall is $person").
-	tpls := e.templateKeys()
-	bestScore := 0.0
-	bestConf := 0.0
-	bestPath := ""
-	for _, tpl := range tpls {
-		dist := e.Model.Theta[tpl]
-		overlap := 0
-		total := 0
-		for _, tok := range strings.Fields(tpl) {
-			if strings.HasPrefix(tok, "$") || text.IsStopword(tok) {
-				continue
-			}
-			total++
-			if content[tok] {
-				overlap++
-			}
-		}
-		if overlap == 0 || total == 0 {
-			continue
-		}
-		score := float64(overlap) * float64(overlap) / float64(total)
-		if score > bestScore || (score == bestScore && bestPath != "") {
-			var bp string
-			var bpv float64
-			for p, v := range dist {
-				if v > bpv || (v == bpv && p < bp) {
-					bp, bpv = p, v
-				}
-			}
-			// Only numeric predicates can be ranked.
-			if !e.numericPredicate(bp) {
-				continue
-			}
-			if score > bestScore || bpv > bestConf || (bpv == bestConf && bp < bestPath) {
-				bestScore = score
-				bestConf = bpv
-				bestPath = bp
-			}
-		}
-	}
-	return bestPath, bestScore
-}
-
-// numericPredicate reports whether the predicate's values parse as numbers
-// for at least one subject (spot check).
-func (e *Engine) numericPredicate(pathKey string) bool {
+// scanNumericPredicate is the fill of the numeric-predicate memo: it
+// reports whether the predicate's values parse as numbers for at least one
+// subject (spot check).
+func (e *Engine) scanNumericPredicate(pathKey string) bool {
 	path, ok := e.KB.ParsePath(pathKey)
 	if !ok {
 		return false
@@ -371,9 +319,9 @@ type rankedEntity struct {
 	value float64
 }
 
-// rankCategory sorts the entities of a category by the numeric value of
-// the predicate.
-func (e *Engine) rankCategory(category, pathKey string, desc bool) []rankedEntity {
+// scanRankCategory is rankCategory's fill: it sorts the entities of a
+// category by the numeric value of the predicate.
+func (e *Engine) scanRankCategory(category, pathKey string, desc bool) []rankedEntity {
 	path, ok := e.KB.ParsePath(pathKey)
 	if !ok {
 		return nil

@@ -166,12 +166,51 @@ func TestRankCategoryDeterministic(t *testing.T) {
 
 func TestBestTemplateForUsesLearnedModel(t *testing.T) {
 	f := world(t)
-	path, score := f.engine.bestTemplateFor(text.Tokenize("which city has the largest population"))
+	path, score := f.engine.bestTemplateFor(text.Tokenize("which city has the largest population"), "")
 	if path != "population" || score <= 0 {
 		t.Errorf("bestTemplateFor = %q (%.2f), want population", path, score)
 	}
-	path, _ = f.engine.bestTemplateFor(text.Tokenize("how tall"))
+	path, _ = f.engine.bestTemplateFor(text.Tokenize("how tall"), "")
 	if path != "height" && path != "elevation" {
 		t.Errorf("bestTemplateFor(how tall) = %q", path)
+	}
+}
+
+// TestVariantPersonHeight pins the predicate of person-height variants:
+// height templates of other concepts ("$location" → elevation, an
+// EM-misread "$actor" template → dob) tie with the "$person" ones on
+// overlap and confidence, and the question's category must break the tie.
+func TestVariantPersonHeight(t *testing.T) {
+	f := world(t)
+	ranked := f.engine.rankCategory("person", "height", true)
+	// The compared pair must be named unambiguously.
+	var tall, short *rankedEntity
+	for i := range ranked {
+		row := &ranked[i]
+		if len(f.kb.Store.EntitiesByLabel(row.label)) != 1 {
+			continue
+		}
+		if tall == nil {
+			tall = row
+		} else if row.value < tall.value {
+			short = row
+		}
+	}
+	if short == nil {
+		t.Fatalf("no two uniquely named persons of different height in %d ranked", len(ranked))
+	}
+	for q, want := range map[string]string{
+		"Which person has the tallest height?": ranked[0].label,
+		"List persons ordered by height?":      ranked[0].label,
+		"Which person has more height , " + text.TitleCase(short.label) + " or " + text.TitleCase(tall.label) + "?": tall.label,
+	} {
+		ans, ok := f.engine.AnswerVariant(q)
+		if !ok || ans.Path != "height" || ans.Category != "person" {
+			t.Errorf("%q = %+v (ok %v), want path height over person", q, ans, ok)
+			continue
+		}
+		if ans.Entities[0] != want {
+			t.Errorf("%q answered %q, want %q", q, ans.Entities[0], want)
+		}
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/kbgen"
 	"repro/internal/rdf"
 	"repro/internal/rdf/snapshot"
+	"repro/internal/text"
 )
 
 // TestSnapshotEngineAnswersIdentical is the persistence oracle: engines
@@ -86,4 +87,55 @@ func TestSnapshotEngineAnswersIdentical(t *testing.T) {
 		}
 	}
 	t.Logf("compared %d questions across built/ntriples/image worlds", len(qs))
+
+	// Ranking, comparison and listing variants read the same knowledge
+	// base through the variant engine's memoized columns.
+	vqs := variantQuestions(w)
+	answered := 0
+	for _, q := range vqs {
+		a, aok := w.Engine.AnswerVariant(q)
+		if aok {
+			answered++
+		}
+		for _, alt := range []struct {
+			name string
+			eng  *core.Engine
+		}{{"ntriples", ntEng}, {"image", imgEng}} {
+			if b, bok := alt.eng.AnswerVariant(q); aok != bok || !reflect.DeepEqual(a, b) {
+				t.Errorf("[%s] variant diverges for %q:\n  built: %+v (%v)\n  %s: %+v (%v)", alt.name, q, a, aok, alt.name, b, bok)
+			}
+		}
+	}
+	if answered < len(vqs)/2 {
+		t.Errorf("only %d of %d variant questions answered", answered, len(vqs))
+	}
+	t.Logf("compared %d variant questions (%d answered)", len(vqs), answered)
+}
+
+// variantQuestions builds ranking, comparison and listing questions over
+// the world's rankable (category, predicate word) pairs.
+func variantQuestions(w *World) []string {
+	var qs []string
+	for _, ck := range [][2]string{
+		{"city", "population"}, {"country", "area"}, {"person", "height"},
+		{"river", "length"}, {"mountain", "elevation"}, {"company", "revenue"},
+	} {
+		c, k := ck[0], ck[1]
+		qs = append(qs,
+			"Which "+c+" has the largest "+k+"?",
+			"Which "+c+" has the 3rd smallest "+k+"?",
+			"List "+c+"s ordered by "+k+"?",
+		)
+		var names []string
+		for _, e := range w.KB.ByCategory[c] {
+			label := w.KB.Store.Label(e)
+			if len(w.KB.Store.EntitiesByLabel(label)) == 1 {
+				names = append(names, text.TitleCase(label))
+			}
+		}
+		if len(names) >= 2 {
+			qs = append(qs, "Which "+c+" has more "+k+" , "+names[0]+" or "+names[len(names)-1]+"?")
+		}
+	}
+	return qs
 }

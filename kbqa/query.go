@@ -207,7 +207,15 @@ func (s *System) query(ctx context.Context, question string, cfg queryConfig) (*
 	eng := s.engine()
 	res := &Result{Question: question, TraceID: obs.TraceID(ctx)}
 	if !cfg.noVariants {
-		if va, ok := eng.AnswerVariant(question); ok {
+		_, vsp := obs.StartSpan(ctx, "engine.variant")
+		va, ok := eng.AnswerVariant(question)
+		if ok {
+			vsp.SetAttr("kind", va.Kind.String())
+			vsp.SetAttr("category", va.Category)
+			vsp.SetAttr("path", va.Path)
+		}
+		vsp.End()
+		if ok {
 			v := variantFromCore(va)
 			res.Variant = &v
 			res.Timings.Total = time.Since(start)

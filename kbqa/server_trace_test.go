@@ -68,6 +68,35 @@ func TestServerTraceIDStamped(t *testing.T) {
 	if hit.Root.Find("serve.engine") != nil {
 		t.Error("cache hit re-entered the engine")
 	}
+
+	// A ranking question runs under an engine.variant span that names
+	// what the variant engine aggregated over.
+	rq, err := sv.Query(ctx, "Which city has the largest population?")
+	if err != nil || rq.Variant == nil {
+		t.Fatalf("ranking query = %+v, %v; want a variant answer", rq, err)
+	}
+	byID = map[string]TraceSnapshot{}
+	for _, tr := range sv.Traces() {
+		byID[tr.ID] = tr
+	}
+	rt, ok := byID[rq.TraceID]
+	if !ok {
+		t.Fatalf("ranking TraceID %s not in Traces()", rq.TraceID)
+	}
+	vs := rt.Root.Find("engine.variant")
+	if vs == nil {
+		t.Fatal("ranking trace has no engine.variant span")
+	}
+	for k, want := range map[string]string{"kind": "ranking", "category": "city", "path": "population"} {
+		if v, _ := vs.Attr(k); v != want {
+			t.Errorf("engine.variant %s = %q, want %q", k, v, want)
+		}
+	}
+	if fs := miss.Root.Find("engine.variant"); fs == nil {
+		t.Error("factoid trace has no engine.variant span")
+	} else if v, _ := fs.Attr("kind"); v != "" {
+		t.Errorf("factoid question's engine.variant span has kind %q", v)
+	}
 }
 
 // TestServerUntracedHasNoTraceID pins the off state: no trace options, no
